@@ -1,6 +1,11 @@
 package repro.core
 
+import java.util.UUID
+
+import org.apache.hadoop.fs.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.TableIdentifier
+import org.apache.spark.sql.catalyst.catalog.{BucketSpec, CatalogStorageFormat, CatalogTable, CatalogTableType}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -16,13 +21,16 @@ import org.apache.spark.sql.types._
   * - Quadrant is the QCR bit: value >= its column average (null when the
   *   cell is not numerical).
   *
-  * @param df        the AllTables DataFrame (cached by [[AllTables.build]])
+  * @param df        the AllTables DataFrame, cached in the layout of
+  *                  [[AllTables.build]]
   * @param valueFreq global frequency of each distinct cell value — the
   *                  statistic the cost model's "average frequency of values
   *                  from Q in the database" feature reads (paper §VII-B)
   * @param nCells    total number of index rows
+  * @param table     the catalog table behind a loaded index
   */
-final case class AllTables(df: DataFrame, valueFreq: Map[String, Long], nCells: Long) {
+final case class AllTables(df: DataFrame, valueFreq: Map[String, Long], nCells: Long)(
+    table: Option[TableIdentifier]) {
 
   /** Average database frequency of a query's values (unknown values count
     * with frequency 0, as in the paper's feature definition).
@@ -31,7 +39,11 @@ final case class AllTables(df: DataFrame, valueFreq: Map[String, Long], nCells: 
     if (values.isEmpty) 0.0
     else values.map(v => valueFreq.getOrElse(v, 0L)).sum.toDouble / values.size
 
-  def unpersist(): Unit = { df.unpersist(); () }
+  /** Release the cache, and the catalog table a [[AllTables.load]] registered. */
+  def unpersist(): Unit = {
+    df.unpersist()
+    table.foreach(df.sparkSession.sessionState.catalog.dropTable(_, ignoreIfNotExists = true, purge = false))
+  }
 }
 
 object AllTables {
@@ -39,7 +51,8 @@ object AllTables {
   /** Offline index construction (paper Fig. 2e), pure Spark:
     *  1. per-(table, column) averages over numerical cells → Quadrant bit,
     *  2. per-(table, row) `bit_or` aggregation of cell bit patterns → SuperKey,
-    *  3. join both back to the inverted-index cells.
+    *  3. join both back to the inverted-index cells,
+    *  4. lay the rows out in TableId buckets (see `layout`) and cache them.
     */
   def build(spark: SparkSession, cells: DataFrame): AllTables = {
     val cellBitsUdf = udf((v: String) => Xash.cellBits(v))
@@ -69,34 +82,87 @@ object AllTables {
           .as("Quadrant"),
       )
 
-    // The paper's in-DB B-tree indexes on CellValue/TableId map to a warm,
-    // sorted, columnar cache here: sorting clusters equal values so the
-    // cached batches behave like the column store the paper deploys on.
-    val df = indexed.sort("CellValue", "TableId", "RowId").cache()
-    val nCells = df.count()
+    cached(layout(indexed), table = None)
+  }
 
-    val valueFreq = df
+  /** TableId hash buckets of the index, in memory and on disk. Part of the
+    * on-disk format, so it does not follow `spark.sql.shuffle.partitions`.
+    */
+  private val Buckets = 8
+  private val SortColumns = Seq("CellValue", "TableId", "RowId")
+
+  /** AllTables as written by [[save]]; [[load]] declares it to the catalog. */
+  private val Schema = StructType(Seq(
+    StructField("CellValue", StringType),
+    StructField("TableId", LongType),
+    StructField("ColumnId", IntegerType),
+    StructField("RowId", IntegerType),
+    StructField("SuperKey", LongType),
+    StructField("Quadrant", BooleanType),
+  ))
+
+  /** The paper's in-DB B-tree indexes on CellValue/TableId (§V) map to a
+    * layout here: rows are hash-partitioned into TableId buckets and sorted
+    * by CellValue within each bucket. Every seeker groups or joins by
+    * TableId, so its plan needs no shuffle, and the sort clusters equal
+    * values inside the columnar cache batches.
+    */
+  private def layout(df: DataFrame): DataFrame =
+    df.repartition(Buckets, col("TableId")).sortWithinPartitions(SortColumns.map(col): _*)
+
+  /** Cache the laid-out index and compute its frequency statistics; the
+    * aggregation is also the job that fills the cache.
+    */
+  private def cached(df: DataFrame, table: Option[TableIdentifier]): AllTables = {
+    val data = df.cache()
+    val valueFreq = data
       .groupBy("CellValue")
       .count()
       .collect()
       .map(r => r.getString(0) -> r.getLong(1))
       .toMap
-
-    AllTables(df, valueFreq, nCells)
+    AllTables(data, valueFreq, valueFreq.values.sum)(table)
   }
 
-  /** Persist the index as parquet — used by jobs and the Table VIII storage
-    * measurement.
-    */
-  def save(index: AllTables, path: String): Unit =
-    index.df.write.mode("overwrite").parquet(path)
+  private def freshTable(): TableIdentifier =
+    TableIdentifier(s"blend_alltables_${UUID.randomUUID().toString.replace("-", "")}")
 
-  /** Reload a saved index (recomputing the frequency statistics). */
+  /** Persist the index as parquet bucketed by TableId and sorted like the
+    * cache, so [[load]] reads the layout back without a shuffle. The catalog
+    * entry the bucketed write needs is dropped again; the files stay.
+    */
+  def save(index: AllTables, path: String): Unit = {
+    val table = freshTable()
+    try
+      index.df.write
+        .mode("overwrite")
+        .format("parquet")
+        .bucketBy(Buckets, "TableId")
+        .sortBy(SortColumns.head, SortColumns.tail: _*)
+        .option("path", path)
+        .saveAsTable(table.unquotedString)
+    finally index.df.sparkSession.sessionState.catalog.dropTable(table, ignoreIfNotExists = true, purge = false)
+  }
+
+  /** Reload a saved index: `path` is registered as an external bucketed
+    * table, whose scan keeps the TableId buckets, and cached (recomputing
+    * the frequency statistics). [[AllTables.unpersist]] drops the table.
+    */
   def load(spark: SparkSession, path: String): AllTables = {
-    val df = spark.read.parquet(path).cache()
-    val nCells = df.count()
-    val valueFreq = df.groupBy("CellValue").count()
-      .collect().map(r => r.getString(0) -> r.getLong(1)).toMap
-    AllTables(df, valueFreq, nCells)
+    val location = new Path(path)
+    val qualified = location.getFileSystem(spark.sessionState.newHadoopConf()).makeQualified(location)
+    val table = freshTable()
+    spark.sessionState.catalog.createTable(
+      CatalogTable(
+        identifier = table,
+        tableType = CatalogTableType.EXTERNAL,
+        storage = CatalogStorageFormat.empty.copy(locationUri = Some(qualified.toUri)),
+        schema = Schema,
+        provider = Some("parquet"),
+        bucketSpec = Some(BucketSpec(Buckets, Seq("TableId"), SortColumns)),
+      ),
+      ignoreIfExists = false,
+    )
+    cached(spark.table(table.unquotedString), Some(table))
   }
 }

@@ -100,8 +100,10 @@ object IrPushdownRule extends Rule[LogicalPlan] {
 
 /** Installs BLEND into a SparkSession: registers the `blend_ir` placeholder
   * function (via the session's function registry, so plain SQL/`expr` can
-  * produce it) and injects [[IrPushdownRule]] into the experimental
-  * optimizer extensions.
+  * produce it), injects [[IrPushdownRule]] into the experimental optimizer
+  * extensions, and lets a join of two AllTables scans on (TableId, RowId)
+  * use the index's TableId buckets as they are (C and MC seekers), instead
+  * of shuffling both sides on both keys.
   */
 object BlendSession {
   def install(spark: SparkSession): Unit = synchronized {
@@ -113,6 +115,7 @@ object BlendSession {
       },
       "built-in",
     )
+    spark.conf.set("spark.sql.requireAllClusterKeysForCoPartition", "false")
     if (!spark.experimental.extraOptimizations.contains(IrPushdownRule)) {
       spark.experimental.extraOptimizations =
         spark.experimental.extraOptimizations :+ IrPushdownRule

@@ -71,13 +71,64 @@ class AllTablesSpec extends SparkSpec {
     assert(idx.avgFrequency(Seq.empty) == 0.0)
   }
 
+  private def sortedRows(t: AllTables): Seq[String] = t.df.collect().map(_.toString).toSeq.sorted
+
+  private def blendTables(): Set[String] =
+    spark.catalog.listTables().collect().map(_.name).filter(_.startsWith("blend_")).toSet
+
+  private def withIndexDir(body: String => Unit): Unit = {
+    val base = java.nio.file.Files.createTempDirectory("alltables")
+    try body(base.resolve("idx o'hare").toString)
+    finally org.apache.commons.io.FileUtils.deleteDirectory(base.toFile)
+  }
+
   test("save/load roundtrip preserves contents") {
-    val dir = java.nio.file.Files.createTempDirectory("alltables").toString + "/idx"
-    AllTables.save(idx, dir)
-    val loaded = AllTables.load(spark, dir)
-    assert(loaded.nCells == idx.nCells)
-    assert(loaded.valueFreq == idx.valueFreq)
-    loaded.unpersist()
+    // The path holds a space and a quote: neither may end up in SQL text.
+    withIndexDir { dir =>
+      AllTables.save(idx, dir)
+      val loaded = AllTables.load(spark, dir)
+      assert(loaded.df.schema.map(f => f.name -> f.dataType) == idx.df.schema.map(f => f.name -> f.dataType))
+      assert(loaded.nCells == idx.nCells)
+      assert(loaded.valueFreq == idx.valueFreq)
+      assert(sortedRows(loaded) == sortedRows(idx))
+      loaded.unpersist()
+    }
+  }
+
+  test("one saved path loads twice; both indexes stay usable") {
+    withIndexDir { dir =>
+      AllTables.save(idx, dir)
+      val a = AllTables.load(spark, dir)
+      val b = AllTables.load(spark, dir)
+      assert(a.valueFreq == b.valueFreq)
+      a.unpersist()
+      assert(sortedRows(b) == sortedRows(idx))
+      assert(ScSeeker("sc", Seq("HR", "Finance")).run(b) == ScSeeker("sc", Seq("HR", "Finance")).run(idx))
+      b.unpersist()
+    }
+  }
+
+  test("save overwrites an index already at the path") {
+    withIndexDir { dir =>
+      AllTables.save(Fixtures.mixedIndex, dir)
+      AllTables.save(idx, dir)
+      val loaded = AllTables.load(spark, dir)
+      assert(loaded.nCells == idx.nCells)
+      assert(sortedRows(loaded) == sortedRows(idx))
+      loaded.unpersist()
+    }
+  }
+
+  test("unpersist leaves no catalog table behind") {
+    val before = blendTables()
+    withIndexDir { dir =>
+      AllTables.save(idx, dir)
+      assert(blendTables() == before)
+      val loaded = AllTables.load(spark, dir)
+      assert(blendTables().size == before.size + 1)
+      loaded.unpersist()
+      assert(blendTables() == before)
+    }
   }
 
   test("index build is deterministic for a fixed lake") {

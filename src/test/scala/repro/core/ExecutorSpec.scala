@@ -144,4 +144,17 @@ class ExecutorSpec extends SparkSpec {
     val res2 = blend.execute(differencePlan())
     assert(res("result") == res2("result"))
   }
+
+  test("Theorem 1: node names containing quotes") {
+    def quoted(): Plan = {
+      val plan = new Plan
+      plan.add("o'mc", McSeeker("o'mc", entities(0, 30).map(_.pair)))
+      plan.add("neg 'sc'", ScSeeker("neg 'sc'", entities(250, 30).map(_.person)))
+      plan.add("sc''", ScSeeker("sc''", entities(5, 30).map(_.person)))
+      plan.add("diff'", Combiner.Difference, Seq("o'mc", "neg 'sc'"), -1)
+      plan.add("result'", Combiner.Intersection, Seq("diff'", "sc''"), -1)
+      plan
+    }
+    assertEquivalent(quoted(), quoted(), Seq("diff'", "result'"))
+  }
 }
