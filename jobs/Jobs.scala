@@ -37,75 +37,38 @@ object BuildIndexJob {
   }
 }
 
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-table2")
-    try Table2Bench.run(spark) finally spark.stop()
-  }
-}
+/** Runs the benches of the given paper tables in order, on one session.
+  * Usage: `spark-submit ... repro.jobs.BenchJob <2..9|all>...`.
+  */
+object BenchJob {
+  private val benches: Map[Int, SparkSession => Unit] = Map(
+    2 -> (s => Table2Bench.run(s)),
+    3 -> (s => Table3Bench.run(s)),
+    4 -> (s => Table4Bench.run(s)),
+    5 -> (s => Table5Bench.run(s)),
+    6 -> (s => Table6Bench.run(s)),
+    7 -> (s => Table7Bench.run(s)),
+    8 -> (s => Table8Bench.run(s)),
+    9 -> (_ => Table9Bench.run()),
+  )
 
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-table3")
-    try Table3Bench.run(spark) finally spark.stop()
+  /** The table numbers `args` name, in order; `all` names every table. */
+  def tables(args: Seq[String]): Seq[Int] = {
+    val valid = benches.keys.toSeq.sorted
+    val usage = s"valid tables: ${valid.mkString(" ")} or all"
+    require(args.nonEmpty, s"no table given; $usage")
+    args.flatMap {
+      case "all" => valid
+      case a =>
+        val n = a.toIntOption.filter(benches.contains)
+        require(n.isDefined, s"unknown table '$a'; $usage")
+        n
+    }
   }
-}
 
-object Table4Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-table4")
-    try Table4Bench.run(spark) finally spark.stop()
-  }
-}
-
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-table5")
-    try Table5Bench.run(spark) finally spark.stop()
-  }
-}
-
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-table6")
-    try Table6Bench.run(spark) finally spark.stop()
-  }
-}
-
-object Table7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-table7")
-    try Table7Bench.run(spark) finally spark.stop()
-  }
-}
-
-object Table8Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-table8")
-    try Table8Bench.run(spark) finally spark.stop()
-  }
-}
-
-object Table9Job {
-  def main(args: Array[String]): Unit = {
-    Table9Bench.run()
-    ()
-  }
-}
-
-/** Runs every table bench in sequence — the full evaluation section. */
-object AllTablesJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("blend-all-benches")
-    try {
-      Table2Bench.run(spark)
-      Table3Bench.run(spark)
-      Table4Bench.run(spark)
-      Table5Bench.run(spark)
-      Table6Bench.run(spark)
-      Table7Bench.run(spark)
-      Table8Bench.run(spark)
-      Table9Bench.run()
-    } finally spark.stop()
+    val selected = tables(args.toSeq)
+    val spark = JobSession.create("blend-bench")
+    try selected.foreach(benches(_)(spark)) finally spark.stop()
   }
 }

@@ -14,8 +14,9 @@ import repro.core._
   *           (plus the optimization overhead itself),
   *  - Ideal: the faster of the two orders (oracle optimizer).
   *
-  * Both orders are executed with IR rewriting (the second seeker is always
-  * restricted by the first's result ids), exactly like an execution group.
+  * Both orders run through [[Executor.runGroup]], the executor's own
+  * execution-group loop: the second seeker is restricted by the first's
+  * result ids with IR rewriting.
   * Accuracy is the fraction of plans where BLEND picked the faster order.
   * The cost model is trained on measured runtimes of sampled queries first
   * (the paper's offline training step).
@@ -36,7 +37,6 @@ object Table4Bench {
     val d = BenchData(spark)
     val idx = d.gittablesIdx
     val g = d.gittables
-    BlendSession.install(spark)
     val rnd = new Random(4242)
 
     // ------------------------------------------------ query generators
@@ -94,28 +94,18 @@ object Table4Bench {
     }
 
     // --------------------------------------------------- plan evaluation
-    /** Run `first` then `second` rewritten with first's result ids. */
-    def runOrder(first: Seeker, second: Seeker): Double =
-      BenchUtil.time {
-        val ids = first.run(idx).map(_.tableId)
-        val slot = IrRegistry.freshSlot("t4")
-        IrRegistry.put(slot, Ir(ids, negate = false))
-        try second.run(idx, Some(slot))
-        finally IrRegistry.remove(slot)
-      }._2
+    val exec = new Executor(spark, idx, costModel)
+    def groupMs(members: SeekerNode*): Double = exec.runGroup(members).map(_._2).sum
 
     def evalRow(name: String, mkPair: () => (Seeker, Seeker), paper: String): Row = {
       var rand = 0.0; var blend = 0.0; var ideal = 0.0; var correct = 0
       (0 until plansPerRow).foreach { _ =>
         val (a, b) = mkPair()
-        val tAB = runOrder(a, b)
-        val tBA = runOrder(b, a)
-        val (ordered, overheadMs) = BenchUtil.time {
-          Optimizer.orderSeekers(
-            Seq(SeekerNode("a", a), SeekerNode("b", b)), idx, costModel)
-        }
-        val chosenFirstIsA = ordered.head.seeker eq a
-        val tChosen = if (chosenFirstIsA) tAB else tBA
+        val (na, nb) = (SeekerNode("a", a), SeekerNode("b", b))
+        val tAB = groupMs(na, nb)
+        val tBA = groupMs(nb, na)
+        val (ordered, overheadMs) = BenchUtil.time(Optimizer.orderSeekers(Seq(na, nb), idx, costModel))
+        val tChosen = if (ordered.head eq na) tAB else tBA
         rand += (tAB + tBA) / 2
         blend += tChosen + overheadMs
         ideal += math.min(tAB, tBA)

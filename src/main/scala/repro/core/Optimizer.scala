@@ -21,22 +21,9 @@ object Optimizer {
     * re-orderable; Difference is non-commutative, Union/Counter gain
     * nothing from re-ordering).
     */
-  def executionGroups(plan: Plan): Map[String, Vector[SeekerNode]] = {
-    val consumers = plan.consumers
-    def exclusivelyFeeds(seeker: String, combiner: CombinerNode): Boolean =
-      consumers.get(seeker).exists(cs => cs.size == 1 && cs.head.name == combiner.name)
-
+  def executionGroups(plan: Plan): Map[String, Vector[SeekerNode]] =
     plan.combiners
       .filter(_.combiner == Combiner.Intersection)
-      .map { c =>
-        val members = c.inputs.flatMap { in =>
-          plan.node(in) match {
-            case s: SeekerNode if exclusivelyFeeds(in, c) => Some(s)
-            case _ => None
-          }
-        }
-        c.name -> members
-      }
+      .map(c => c.name -> plan.exclusiveSeekers(c))
       .toMap
-  }
 }

@@ -62,6 +62,20 @@ final class Plan {
       .mapValues(_.map(_._2))
       .toMap
 
+  /** The seekers among `c`'s inputs that `c` alone consumes, in input
+    * order. They can run under `c`'s control (paper §VII-B): for an
+    * Intersection they form its execution group.
+    */
+  def exclusiveSeekers(c: CombinerNode): Vector[SeekerNode] = {
+    val byNode = consumers
+    c.inputs.flatMap { in =>
+      node(in) match {
+        case s: SeekerNode if byNode(in).map(_.name) == Vector(c.name) => Some(s)
+        case _ => None
+      }
+    }
+  }
+
   def seekers: Vector[SeekerNode] = nodes.collect { case s: SeekerNode => s }
   def combiners: Vector[CombinerNode] = nodes.collect { case c: CombinerNode => c }
 }

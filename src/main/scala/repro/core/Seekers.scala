@@ -222,6 +222,8 @@ final case class CorrSeeker(
     minSupport: Int = 3,
 ) extends Seeker {
   require(keys.length == targets.length && keys.nonEmpty, "C seeker needs aligned key/target columns")
+  // A NaN target average would put every key on neither side of the split.
+  require(targets.forall(_.isFinite), "C seeker targets must be finite numbers")
 
   override def seekerType: SeekerType = SeekerType.C
   override def nQueryCols: Int = 2

@@ -1,28 +1,31 @@
 package repro
 
+import scala.util.Random
+
 import repro.core._
 import repro.lake.{Lake, LakeColumn, LakeTable}
 
 /** End-to-end check on TPC-H-lite data: the paper motivates BLEND's support
   * for numerical join keys with "all the keys in the TPC-H benchmark are
-  * numerical" (§VIII-G). Here a mini-lake is carved out of SynthData's
-  * lineitem/part tables and queried with numerical keys.
+  * numerical" (§VIII-G). Here a mini-lake of lineitem-like tables is
+  * queried with numerical keys.
   */
 class TpchIntegrationSpec extends SparkSpec {
 
-  /** lineitem sample as a lake table: partkey (numerical join key),
-    * returnflag (categorical), extendedprice + discount (numerical).
+  /** Three seeded lineitem-like tables of 200 rows: partkey in 1..200
+    * (numerical join key), returnflag (categorical), extendedprice and
+    * discount (numerical).
     */
   private lazy val lake: Lake = {
-    val rows = SynthData.lineitem(spark, sf = 0.001, seed = 3)
-      .select("l_partkey", "l_returnflag", "l_extendedprice", "l_discount")
-      .limit(600)
-      .collect()
-    def table(id: Long, slice: Seq[org.apache.spark.sql.Row]): LakeTable = {
-      val partkey = slice.map(_.getLong(0).toString).toVector
-      val flag = slice.map(_.getString(1)).toVector
-      val price = slice.map(_.getDouble(2)).toVector
-      val disc = slice.map(_.getDouble(3)).toVector
+    val rnd = new Random(3)
+    val rows = 200
+    def cents(lo: Double, span: Double): Vector[Double] =
+      Vector.fill(rows)(math.round((lo + rnd.nextDouble() * span) * 100) / 100.0)
+    def table(id: Long): LakeTable = {
+      val partkey = Vector.fill(rows)((1 + rnd.nextInt(200)).toString)
+      val flag = Vector.fill(rows)(Vector("N", "R", "A")(rnd.nextInt(3)))
+      val price = cents(900, 90000)
+      val disc = cents(0, 0.10)
       LakeTable(id, s"lineitem-$id", Vector(
         LakeColumn("l_partkey", partkey, Some(partkey.map(_.toDouble))),
         LakeColumn("l_returnflag", flag),
@@ -30,8 +33,7 @@ class TpchIntegrationSpec extends SparkSpec {
         LakeColumn("l_discount", disc.map(_.toString), Some(disc)),
       ))
     }
-    val slices = rows.grouped(200).toVector
-    Lake("tpch-lite", slices.zipWithIndex.map { case (s, i) => table(i.toLong, s) })
+    Lake("tpch-lite", Vector.tabulate(3)(i => table(i.toLong)))
   }
 
   private lazy val idx = core.AllTables.build(spark, lake.cellsDF(spark))

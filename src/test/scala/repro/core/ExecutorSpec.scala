@@ -114,6 +114,31 @@ class ExecutorSpec extends SparkSpec {
     assert(blend.execute(plan)("result").isEmpty)
   }
 
+  test("Theorem 1: a seeker shared by an Intersection and a Union runs standalone") {
+    val shared = ScSeeker("shared", entities(0, 40).map(_.person), k = 5)
+    val member = ScSeeker("member", entities(10, 40).map(_.person), k = 1)
+    def plan(): Plan = {
+      val p = new Plan
+      p.add("shared", shared)
+      p.add("member", member)
+      p.add("kw", KwSeeker("kw", entities(0, 5).map(_.person)))
+      p.add("inter", Combiner.Intersection, Seq("shared", "member"))
+      p.add("union", Combiner.Union, Seq("shared", "kw"))
+      p
+    }
+    assertEquivalent(plan(), plan(), Seq("inter", "union"))
+    val res = blend.execute(plan())
+    val sharedFull = shared.run(idx)
+    assert(sharedFull.size > shared.k)
+    assert(res("shared") == sharedFull.take(shared.k), "the shared seeker is capped at its own k")
+    // The group member is rewritten with the capped shared result, not capped.
+    val kept = res("shared").map(_.tableId).toSet
+    val memberIr = member.run(idx).filter(s => kept(s.tableId))
+    assert(memberIr.size > member.k)
+    assert(res("member") == memberIr)
+    assert(bno.execute(plan())("member") == member.run(idx))
+  }
+
   test("standalone seekers are capped at their k") {
     val plan = new Plan
     plan.add("solo", ScSeeker("solo", entities(0, 40).map(_.person), k = 5))

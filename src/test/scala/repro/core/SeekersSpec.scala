@@ -176,6 +176,18 @@ class SeekersSpec extends SparkSpec {
     assert(seeker.k0Keys == Seq("b"))
   }
 
+  test("C seeker rejects a NaN target") {
+    val e = intercept[IllegalArgumentException](
+      CorrSeeker("c", Seq("a", "b", "c"), Seq(1.0, Double.NaN, 3.0)))
+    assert(e.getMessage.contains("finite"))
+  }
+
+  test("C seeker rejects infinite targets of both signs") {
+    val e = intercept[IllegalArgumentException](
+      CorrSeeker("c", Seq("a", "b", "c"), Seq(Double.PositiveInfinity, 2.0, Double.NegativeInfinity)))
+    assert(e.getMessage.contains("finite"))
+  }
+
   test("seeker features expose card, column count and db frequency") {
     val f = ScSeeker("sc", Seq("HR", "HR", "Firenze")).features(Fixtures.fig1Index)
     assert(f.card == 2.0)
